@@ -9,11 +9,13 @@
 - :mod:`repro.core.operators` — OpGen: Reduct (1→0 flips) and Augment
   (0→1 flips) transitions (§3 operators, Alg. 1/2);
 - :mod:`repro.core.dominance` — dominance, ε-dominance, pos() grid
-  (Eq. 1), Kung's exact skyline;
+  (Eq. 1), the exact skyline;
 - :mod:`repro.core.runner` — configuration C: valuation cache T,
-  estimator wiring, true-model evaluation;
+  estimator wiring, true-model evaluation; UPareto; and
+  ``frontier_search``, the one frontier engine every algorithm runs;
 - :mod:`repro.core.apx` / :mod:`bi` / :mod:`div` — ApxMODis, BiMODis /
-  NOBiMODis (correlation-based pruning), DivMODis.
+  NOBiMODis (correlation-based pruning), DivMODis: start states,
+  frontier order and hooks for ``frontier_search``.
 """
 from repro.core.universal import build_universal
 from repro.core.literals import UnitLayout

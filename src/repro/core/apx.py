@@ -1,19 +1,17 @@
 """ApxMODis: reduce-from-universal (N, ε)-approximation (Alg. 1, §5.1).
 
-Level-wise spawning from the universal state s_U; OpGen flips one L
-entry 1→0 per transition (procedure OpGen); UPareto maintains the
-ε-skyline over the position grid. Within a level, states are expanded
-best-decisive-first — the "extend 'shortest' paths by prioritizing the
-valuation of datasets towards user-defined upper bounds" advantage the
-paper claims for the reduce-from-universal strategy.
+Spawning from the universal state s_U; OpGen flips one L entry 1→0
+per transition (procedure OpGen); UPareto maintains the ε-skyline over
+the position grid. The frontier is expanded best-decisive-first across
+levels — the "extend 'shortest' paths by prioritizing the valuation of
+datasets towards user-defined upper bounds" advantage the paper claims
+for the reduce-from-universal strategy: the budget follows promising
+reduction paths deep instead of exhausting a level breadth-first.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
-
 from repro.core.operators import reduct_children
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import SearchContext, SearchResult, frontier_search
 
 
 def apx_modis(
@@ -27,51 +25,18 @@ def apx_modis(
 ) -> SearchResult:
     """Run ApxMODis; valuates at most N states or until no transitions.
 
-    Every ``calibrate_every`` spawned states, the current per-measure
-    champion entries are valuated with the true model and the estimator
-    is refreshed — the paper's runtime enrichment of T.
+    Every ``calibrate_every`` spawned states, the current
+    per-measure champion entries are valuated with the true model and
+    the estimator is refreshed — the paper's runtime enrichment of T.
     """
-
-    def run():
-        table = ParetoTable(ctx.measures, eps)
-        s_u = ctx.layout.full_bits()
-        vec = ctx.valuate(s_u)
-        table.offer(s_u, vec)
-        tie = itertools.count()
-        # Heap orders by (decisive measure, level): the paper's
-        # "shortest-path" prioritization — the frontier state whose
-        # estimated decisive measure is best is reduced first, so the
-        # budget follows promising reduction paths deep instead of
-        # exhausting a level breadth-first.
-        heap = [(vec[-1], 0, next(tie), s_u)]
-        seen = {s_u}
-        spawned = 1
-        next_cal = calibrate_every
-        while heap and len(seen) < N:
-            _, level, _, s = heapq.heappop(heap)
-            if level >= max_level:
-                continue
-            for child, _op in reduct_children(ctx.layout, s):
-                if child in seen:
-                    continue
-                seen.add(child)
-                spawned += 1
-                cvec = ctx.valuate(child)
-                table.offer(child, cvec)
-                heapq.heappush(heap, (cvec[-1], level + 1, next(tie), child))
-                if spawned >= next_cal:
-                    ctx.calibrate(table.entries(), k=calibrate_k)
-                    next_cal += calibrate_every
-                if len(seen) >= N:
-                    break
-        ctx.calibrate(table.entries(), k=calibrate_k)
-        return table, spawned
-
-    (table, spawned), wall = timed(run)
-    return SearchResult(
-        method="ApxMODis",
-        skyline=table.result(),
-        n_valuations=spawned,
-        n_spawned=spawned,
-        wall_time=wall,
+    return frontier_search(
+        ctx,
+        "ApxMODis",
+        [(ctx.layout.full_bits(), reduct_children)],
+        N=N,
+        eps=eps,
+        max_level=max_level,
+        level_wise=False,
+        calibrate_every=calibrate_every,
+        calibrate_k=calibrate_k,
     )

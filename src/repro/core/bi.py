@@ -13,19 +13,23 @@ an unvaluated state's measures with ranges interpolated from the
 nearest recorded states by retained-row fraction (Fig. 12 Case 2); a
 state whose parameterized vector is (1+ε)-covered by a current skyline
 entry is pruned without valuation — the monotonicity condition is
-carried by the interpolated bounds. NOBiMODis is the same engine with
+carried by the interpolated bounds. NOBiMODis is the same search with
 pruning disabled.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.core.dominance import Vec
 from repro.core.literals import Bits
 from repro.core.operators import augment_children, reduct_children
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import (
+    OpGen,
+    ParetoTable,
+    SearchContext,
+    SearchResult,
+    frontier_search,
+)
 
 # A parameterized performance entry: exact value or [lo, hi] range.
 ParamPerf = list[tuple[float, float]]
@@ -161,85 +165,19 @@ class CorrPruner:
         return False
 
 
-# -- the bi-directional engine ------------------------------------------
+# -- the bi-directional search ------------------------------------------
 
-def bi_engine(
-    ctx: SearchContext,
-    *,
-    N: int,
-    eps: float,
-    max_level: int,
-    prune: bool,
-    theta: float = 0.8,
-    base_attrs: list[str] | None = None,
-    level_hook: Callable[[ParetoTable, int], None] | None = None,
-    calibrate_k: int = 3,
-) -> tuple[ParetoTable, int, int]:
-    """Shared by BiMODis / NOBiMODis / DivMODis. Returns
-    (pareto table, #spawned, #pruned). After each level the per-measure
-    champions are true-valuated and E refreshed (runtime T enrichment).
-    """
-    layout = ctx.layout
-    if base_attrs is None and ctx.base_attrs:
+def bi_roots(
+    ctx: SearchContext, base_attrs: list[str] | None = None
+) -> list[tuple[Bits, OpGen]]:
+    """The two sides: Reduct from s_U (forward), Augment from s_b
+    (backward), shared by BiMODis / NOBiMODis / DivMODis."""
+    if base_attrs is None:
         base_attrs = ctx.base_attrs
-    table = ParetoTable(ctx.measures, eps)
-    pruner = CorrPruner(ctx, theta=theta)
-
-    s_u = layout.full_bits()
-    s_b = back_start(ctx, base_attrs)
-    for s in (s_u, s_b):
-        v = ctx.valuate(s)
-        table.offer(s, v)
-        pruner.observe(s, v)
-    seen: set[Bits] = {s_u, s_b}
-    seen_f: set[Bits] = {s_u}
-    seen_b: set[Bits] = {s_b}
-    frontier_f: list[tuple[Bits, Vec]] = [(s_u, ctx.valuate(s_u))]
-    frontier_b: list[tuple[Bits, Vec]] = [(s_b, ctx.valuate(s_b))]
-    spawned = 2
-
-    for level in range(max_level):
-        if not frontier_f and not frontier_b:
-            break
-        if seen_f & seen_b - {s_u, s_b}:
-            break  # "when a path is formed, the result D_F is returned"
-        next_f: list[tuple[Bits, Vec]] = []
-        next_b: list[tuple[Bits, Vec]] = []
-        # Best-decisive-first expansion within the level.
-        for frontier, gen, nxt, side in (
-            (sorted(frontier_f, key=lambda e: e[1][-1]), reduct_children, next_f, seen_f),
-            (sorted(frontier_b, key=lambda e: e[1][-1]), augment_children, next_b, seen_b),
-        ):
-            for s, _v in frontier:
-                if len(seen) >= N:
-                    break
-                for child, _op in gen(layout, s):
-                    if child in seen:
-                        continue
-                    if prune:
-                        param = pruner.corr_fp(child)
-                        if param is not None and pruner.can_prune(
-                            param, table, eps
-                        ):
-                            seen.add(child)
-                            side.add(child)
-                            continue
-                    seen.add(child)
-                    side.add(child)
-                    spawned += 1
-                    cvec = ctx.valuate(child)
-                    table.offer(child, cvec)
-                    pruner.observe(child, cvec)
-                    nxt.append((child, cvec))
-                    if len(seen) >= N:
-                        break
-        frontier_f, frontier_b = next_f, next_b
-        ctx.calibrate(table.entries(), k=calibrate_k)
-        if level_hook is not None:
-            level_hook(table, level)
-        if len(seen) >= N:
-            break
-    return table, spawned, pruner.n_pruned
+    return [
+        (ctx.layout.full_bits(), reduct_children),
+        (back_start(ctx, base_attrs), augment_children),
+    ]
 
 
 def bi_modis(
@@ -252,24 +190,16 @@ def bi_modis(
     theta: float = 0.8,
     base_attrs: list[str] | None = None,
 ) -> SearchResult:
-    """BiMODis (prune=True) / NOBiMODis (prune=False)."""
-
-    def run():
-        return bi_engine(
-            ctx,
-            N=N,
-            eps=eps,
-            max_level=max_level,
-            prune=prune,
-            theta=theta,
-            base_attrs=base_attrs,
-        )
-
-    (table, spawned, _npruned), wall = timed(run)
-    return SearchResult(
-        method="BiMODis" if prune else "NOBiMODis",
-        skyline=table.result(),
-        n_valuations=spawned,
-        n_spawned=spawned,
-        wall_time=wall,
+    """BiMODis (prune=True) / NOBiMODis (prune=False). After each level
+    the per-measure champions are true-valuated and E refreshed
+    (runtime T enrichment)."""
+    return frontier_search(
+        ctx,
+        "BiMODis" if prune else "NOBiMODis",
+        bi_roots(ctx, base_attrs),
+        N=N,
+        eps=eps,
+        max_level=max_level,
+        level_wise=True,
+        pruner=CorrPruner(ctx, theta=theta) if prune else None,
     )

@@ -1,6 +1,6 @@
 """DivMODis: diversified skyline generation (Alg. 3, §5.4).
 
-Runs the bi-directional engine and, at every level, trims the current
+Runs the bi-directional search and, at every level, trims the current
 ε-skyline to a diversified k-subset by greedy selection-and-replacement
 maximizing the submodular score of Eq. (2):
 
@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bi import bi_engine
+from repro.core import bi
 from repro.core.dominance import Vec
 from repro.core.literals import Bits
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import (
+    ParetoTable,
+    SearchContext,
+    SearchResult,
+    frontier_search,
+)
 
 
 def _dis(
@@ -95,7 +100,7 @@ def div_modis(
     base_attrs: list[str] | None = None,
     seed: int = 0,
 ) -> SearchResult:
-    """DivMODis over the bi-directional engine (no correlation pruning —
+    """DivMODis over the bi-directional search (no correlation pruning —
     matching the paper's observation that DivMODis behaves like
     NOBiMODis plus a stream-style placement step)."""
 
@@ -109,22 +114,13 @@ def div_modis(
             pos: e for pos, e in table.cells.items() if e[0] in kept_bits
         }
 
-    def run():
-        return bi_engine(
-            ctx,
-            N=N,
-            eps=eps,
-            max_level=max_level,
-            prune=False,
-            base_attrs=base_attrs,
-            level_hook=hook,
-        )
-
-    (table, spawned, _), wall = timed(run)
-    return SearchResult(
-        method="DivMODis",
-        skyline=table.result(),
-        n_valuations=spawned,
-        n_spawned=spawned,
-        wall_time=wall,
+    return frontier_search(
+        ctx,
+        "DivMODis",
+        bi.bi_roots(ctx, base_attrs),
+        N=N,
+        eps=eps,
+        max_level=max_level,
+        level_wise=True,
+        level_hook=hook,
     )

@@ -1,4 +1,4 @@
-"""Dominance relations, the (1+ε)-position grid, and Kung's algorithm.
+"""Dominance relations, the (1+ε)-position grid, and the exact skyline.
 
 All vectors here are *normalized, minimized* measure tuples (paper §2):
 ``u`` dominates ``v`` iff u ≤ v componentwise with at least one strict
@@ -6,9 +6,9 @@ inequality (§4); ``u`` ε-dominates ``v`` iff u ≤ (1+ε)·v componentwise
 and u ≤ v on at least one decisive measure (§5.1). ``position``
 implements Eq. (1): the floor-log_(1+ε) grid cell over the first |P|−1
 measures, with the last measure decisive by default. ``kung_skyline``
-is the classic divide-and-conquer maxima algorithm [24] used by the
-exact fixed-parameter baseline of Theorem 1 and by tests to check
-UPareto's output.
+is the exact skyline (named for the maxima problem of Kung et al.
+[24]) used by UPareto's final cleanup, by the exact fixed-parameter
+baseline of Theorem 1 and by tests to check UPareto's output.
 """
 from __future__ import annotations
 
@@ -40,36 +40,17 @@ def position(vec: Vec, lowers: Sequence[float], eps: float) -> tuple[int, ...]:
 
 
 def kung_skyline(vectors: list[Vec]) -> list[int]:
-    """Indices of the exact skyline (non-dominated set) of ``vectors``.
+    """Ascending indices of the exact skyline (non-dominated set) of
+    ``vectors``; of identical vectors only the lowest index is kept.
 
-    Kung/Luccio/Preparata divide-and-conquer on the first coordinate;
-    O(n log n) for 2–3 measures, O(n log^(d−2) n) beyond — matching the
-    cost cited in Theorem 1's FPT argument.
+    A plain O(n²·d) non-dominated filter: the skylines and candidate
+    sets here hold tens of entries, so Kung/Luccio/Preparata's
+    divide-and-conquer [24] buys nothing.
     """
-    n = len(vectors)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: vectors[i])
-
-    def solve(idx: list[int]) -> list[int]:
-        if len(idx) <= 1:
-            return list(idx)
-        mid = len(idx) // 2
-        left = solve(idx[:mid])   # better on first coordinate
-        right = solve(idx[mid:])
-        keep = list(left)
-        for r in right:
-            if not any(dominates(vectors[l], vectors[r]) for l in left):
-                keep.append(r)
-        return keep
-
-    sky = solve(order)
-    # Remove exact duplicates dominated by nothing but identical twins.
-    seen: dict[Vec, int] = {}
-    out = []
-    for i in sorted(sky):
-        v = vectors[i]
-        if v not in seen:
-            seen[v] = i
+    out: list[int] = []
+    kept: set[Vec] = set()
+    for i, v in enumerate(vectors):
+        if v not in kept and not any(dominates(u, v) for u in vectors):
             out.append(i)
+            kept.add(v)
     return out

@@ -10,11 +10,18 @@ states with a single estimator call, as the paper prescribes.
 ``ParetoTable`` is procedure UPareto: the (1+ε)-log position grid with
 per-cell replacement on the decisive measure (last measure of P by
 default, §5.1), plus the p_u upper-bound early skip.
+
+``frontier_search`` is the single search loop that ApxMODis, BiMODis /
+NOBiMODis and DivMODis call with their own start states, frontier order
+and hooks.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 import pandas as pd
@@ -219,8 +226,8 @@ class ParetoTable:
 class SearchResult:
     method: str
     skyline: list[tuple[Bits, Vec]]
-    n_valuations: int
-    n_spawned: int
+    n_spawned: int  # states valuated, start states included
+    n_pruned: int  # states CorrFP pruned without valuation
     wall_time: float
 
     def best_by(self, measure_idx: int) -> tuple[Bits, Vec]:
@@ -230,8 +237,95 @@ class SearchResult:
         return min(self.skyline, key=lambda e: e[1][measure_idx])
 
 
-def timed(fn):
-    """Run ``fn()`` and return (result, wall_seconds)."""
+# OpGen: the transitions (child state, operator) out of a state.
+OpGen = Callable[[UnitLayout, Bits], Iterable[tuple[Bits, object]]]
+
+
+def frontier_search(
+    ctx: SearchContext,
+    method: str,
+    roots: list[tuple[Bits, OpGen]],
+    *,
+    N: int,
+    eps: float,
+    max_level: int,
+    level_wise: bool,
+    calibrate_every: int | None = None,
+    calibrate_k: int = 3,
+    pruner=None,
+    level_hook: Callable[[ParetoTable, int], None] | None = None,
+) -> SearchResult:
+    """The one frontier loop under every MODis algorithm (Alg. 1–3).
+
+    Each root (start state, OpGen) is a side of the search: ApxMODis has
+    [(s_U, Reduct)], the bi-directional methods add (s_b, Augment). A
+    spawned state is valuated one at a time, offered to UPareto and put
+    on the frontier, until ``N`` states are seen or no transition is
+    left; states at ``max_level`` are valuated but not expanded.
+
+    Frontier order: ``level_wise`` expands level by level, the first
+    root's side before the next, best decisive measure first within a
+    side (Alg. 2); otherwise best decisive measure first across levels,
+    the "shortest-path" prioritization of Alg. 1.
+
+    Runtime enrichment of T (``ctx.calibrate``): every ``calibrate_every``
+    spawned states when set, after every level when ``level_wise``, and
+    always once at the end. ``level_hook(table, level)`` runs after each
+    of the per-level and final enrichments. With a ``pruner``
+    (``CorrPruner``), a child whose CorrFP vector is ε-covered by the
+    skyline is marked seen and neither valuated nor expanded (Lemma 4).
+    """
     t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+    table = ParetoTable(ctx.measures, eps)
+    seen: set[Bits] = set()
+    heap: list = []
+    tie = itertools.count()  # equal keys pop in spawn order
+    n_spawned = 0
+
+    def spawn(bits: Bits, level: int, side: int) -> None:
+        nonlocal n_spawned
+        seen.add(bits)
+        n_spawned += 1
+        vec = ctx.valuate(bits)
+        table.offer(bits, vec)
+        if pruner is not None:
+            pruner.observe(bits, vec)
+        if level < max_level:
+            key = (level, side, vec[-1]) if level_wise else (vec[-1], level)
+            heapq.heappush(heap, (key, next(tie), level, side, bits))
+
+    def enrich(level: int) -> None:
+        ctx.calibrate(table.entries(), k=calibrate_k)
+        if level_hook is not None:
+            level_hook(table, level)
+
+    for side, (root, _gen) in enumerate(roots):
+        spawn(root, 0, side)
+    next_cal = calibrate_every
+    open_level = 0
+    while heap and len(seen) < N:
+        _key, _tie, level, side, s = heapq.heappop(heap)
+        if level_wise and level > open_level:
+            enrich(open_level)
+            open_level = level
+        for child, _op in roots[side][1](ctx.layout, s):
+            if child in seen:
+                continue
+            param = pruner.corr_fp(child) if pruner is not None else None
+            if param is not None and pruner.can_prune(param, table, eps):
+                seen.add(child)
+            else:
+                spawn(child, level + 1, side)
+                if next_cal is not None and n_spawned >= next_cal:
+                    ctx.calibrate(table.entries(), k=calibrate_k)
+                    next_cal += calibrate_every
+            if len(seen) >= N:
+                break
+    enrich(open_level)
+    return SearchResult(
+        method=method,
+        skyline=table.result(),
+        n_spawned=n_spawned,
+        n_pruned=pruner.n_pruned if pruner is not None else 0,
+        wall_time=time.perf_counter() - t0,
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, ensemble_importances
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
@@ -66,13 +66,7 @@ class GradientBoostingRegressor:
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        imps = [t.feature_importances_ for t in self.trees_]
-        d = max(len(i) for i in imps)
-        acc = np.zeros(d)
-        for i in imps:
-            acc[: len(i)] += i
-        s = acc.sum()
-        return acc / s if s > 0 else acc
+        return ensemble_importances(self.trees_)
 
 
 class GradientBoostingClassifier:
@@ -123,13 +117,7 @@ class GradientBoostingClassifier:
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        imps = [t.feature_importances_ for t in self.trees_]
-        d = max(len(i) for i in imps)
-        acc = np.zeros(d)
-        for i in imps:
-            acc[: len(i)] += i
-        s = acc.sum()
-        return acc / s if s > 0 else acc
+        return ensemble_importances(self.trees_)
 
 
 class LightGBMClassifier(GradientBoostingClassifier):

@@ -179,3 +179,13 @@ class RegressionTree:
                 imp[f] += 1.0
         s = imp.sum()
         return imp / s if s > 0 else imp
+
+
+def ensemble_importances(trees: list[RegressionTree]) -> np.ndarray:
+    """Sum of the trees' split-count importances, normalized to sum to 1."""
+    imps = [t.feature_importances_ for t in trees]
+    acc = np.zeros(max(len(i) for i in imps))
+    for i in imps:
+        acc[: len(i)] += i
+    s = acc.sum()
+    return acc / s if s > 0 else acc

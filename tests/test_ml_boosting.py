@@ -1,5 +1,5 @@
 """Unit tests for gradient boosting (regressor, MO regressor, softmax
-classifier, LightGBM-lite alias)."""
+classifier, LightGBM-lite alias) and the shared ensemble importances."""
 import numpy as np
 import pytest
 
@@ -9,6 +9,7 @@ from repro.ml.boosting import (
     GradientBoostingRegressor,
     LightGBMClassifier,
 )
+from repro.ml.forest import RandomForestClassifier
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -93,7 +94,10 @@ def test_feature_importances_normalized():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(200, 4))
     y = X[:, 3] * 2
-    gb = GradientBoostingRegressor(n_estimators=10).fit(X, y)
-    imp = gb.feature_importances_
-    assert abs(imp.sum() - 1.0) < 1e-9
-    assert imp.argmax() == 3
+    for model, target in (
+        (GradientBoostingRegressor(n_estimators=10), y),
+        (RandomForestClassifier(n_estimators=10, seed=0), y > 0),
+    ):
+        imp = model.fit(X, target).feature_importances_
+        assert abs(imp.sum() - 1.0) < 1e-9
+        assert imp.argmax() == 3

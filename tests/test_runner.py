@@ -1,10 +1,15 @@
 """SearchContext (configuration C), valuation caching, estimator
-seeding/refresh, and the UPareto ParetoTable."""
+seeding/refresh, the UPareto ParetoTable, and the counters every
+search reports."""
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.dominance import dominates, eps_dominates
-from repro.core.runner import ParetoTable
+from repro.core.runner import ParetoTable, SearchContext
+from repro.experiments.common import MODIS_ALGOS
 from repro.measures import Measure
 
 
@@ -151,3 +156,30 @@ def test_pareto_result_eps_covers_offers():
     res = [v for _, v in t.result()]
     for v in offered:
         assert any(eps_dominates(u, v, eps + 1e-9) for u in res)
+
+
+# -- search counters ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def house_ctx_cost_model(spark, house_small):
+    """``house_ctx`` with p_Train from the deterministic cost model: with
+    wall-time p_Train, whether CorrFP finds the size correlation it
+    needs to prune depends on timing noise."""
+    lake, task, measures = house_small
+    task = dataclasses.replace(task, time_unit=2.4e-5)
+    return SearchContext.build(
+        spark, lake, task, measures, max_k=8, n_seed=6, seed=0
+    )
+
+
+@pytest.mark.parametrize("method", list(MODIS_ALGOS))
+def test_search_counters_within_budget(house_ctx_cost_model, method):
+    """Spawned and pruned states together stay within the budget N, and
+    only BiMODis prunes."""
+    res = MODIS_ALGOS[method](
+        copy.deepcopy(house_ctx_cost_model),
+        {"N": 60, "eps": 0.2, "max_level": 4},
+    )
+    assert res.n_spawned + res.n_pruned <= 60
+    assert (res.n_pruned > 0) == (method == "BiMODis")

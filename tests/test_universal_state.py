@@ -171,3 +171,27 @@ def test_annotated_has_cluster_columns(uni):
     for a in layout.attrs:
         if layout.val_units[a]:
             assert CLUSTER_PREFIX + a in annotated.columns
+
+
+# -- the DuckDB oracle itself -------------------------------------------
+
+_COUNT_SQL = "SELECT target, COUNT(*) AS n FROM base GROUP BY target"
+
+
+def test_oracle_accepts_equivalent(house_small):
+    base = house_small[0].base
+    got = base.groupBy("target").count().withColumnRenamed("count", "n")
+    assert_equivalent(got, _COUNT_SQL, base=base)
+
+
+def test_oracle_rejects_wrong_result(house_small):
+    base = house_small[0].base
+    wrong = base.groupBy("target").count().withColumnRenamed("count", "n").limit(1)
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, _COUNT_SQL, base=base)
+
+
+def test_oracle_accepts_pandas_tables(spark, house_small):
+    pdf = house_small[0].base.select("key", "target").toPandas()
+    got = spark.createDataFrame(pdf).selectExpr("key", "target * 2 AS t2")
+    assert_equivalent(got, "SELECT key, target * 2 AS t2 FROM t", t=pdf)
