@@ -6,11 +6,15 @@ for the sklearn counterpart; ours is the same algorithm on numpy).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.literals import Bits, UnitLayout
 from repro.measures import Measure
 from repro.ml.boosting import GradientBoostingRegressor
+
+if TYPE_CHECKING:  # repro.core imports this module (runner → mogbm)
+    from repro.core.literals import Bits, UnitLayout
 
 
 def state_features(layout: UnitLayout, bits: Bits) -> np.ndarray:
@@ -47,10 +51,6 @@ class MOGBMEstimator:
 
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "MOGBMEstimator":
         """X: (n, n_units+2) state features; Y: (n, |P|) normalized."""
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
         self._gb.fit(X, Y)
         self.fitted = True
         return self

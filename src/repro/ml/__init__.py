@@ -6,12 +6,15 @@ GradientBoosting — none of which are installed here. This package
 implements the needed model zoo from scratch on numpy:
 
 - :mod:`repro.ml.tree` — a binned, vectorized multi-output regression
-  tree (variance reduction == Gini on one-hot targets), the single
-  primitive under every ensemble below;
+  tree (variance reduction == Gini on one-hot targets) and its one
+  binning function ``bin_features``, the single primitive under every
+  ensemble below;
 - :mod:`repro.ml.boosting` — gradient boosting for regression
   (multi-output, used as the MO-GBM estimator) and softmax
-  classification, plus a "LightGBM-lite" alias;
-- :mod:`repro.ml.forest` — bagged random forest classifier;
+  classification on one stage loop that bins X once per fit, plus a
+  "LightGBM-lite" alias;
+- :mod:`repro.ml.forest` — bagged random forest classifier (each tree
+  bins its own bootstrap sample);
 - :mod:`repro.ml.linear` — ridge linear regression and softmax logistic
   regression;
 - :mod:`repro.ml.metrics` — accuracy/PR/F1/AUC, MSE/MAE/R2, Fisher

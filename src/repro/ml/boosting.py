@@ -1,21 +1,24 @@
 """Gradient boosting on the binned CART primitive.
 
+One stage loop serves both boosters: X is binned once per fit, and each
+stage fits one tree to the negative gradient of the current scores F.
+
 ``GradientBoostingRegressor`` supports multi-output targets directly
 (squared loss: each stage fits a multi-output tree to the residual
-matrix), which is exactly the "multi-output Gradient Boosting Model"
-(MO-GBM) the paper adopts as its performance estimator [34].
+matrix Y − F), which is exactly the "multi-output Gradient Boosting
+Model" (MO-GBM) the paper adopts as its performance estimator [34].
 
 ``GradientBoostingClassifier`` is softmax boosting: each stage fits one
-multi-output tree to the (one-hot − softmax) gradient matrix.
+multi-output tree to the (one-hot − softmax(F)) gradient matrix.
 ``LightGBMClassifier`` is the same booster with LightGBM-flavoured
-defaults (more, shallower trees, stronger shrinkage); true leaf-wise
-histogram growth is out of scope and documented in DESIGN.md.
+defaults (more, shallower trees, stronger shrinkage); trees still grow
+depth-wise, and LightGBM's leaf-wise growth is out of scope (DESIGN.md).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, ensemble_importances
+from repro.ml.tree import RegressionTree, bin_features, ensemble_importances
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
@@ -24,7 +27,42 @@ def _softmax(F: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-class GradientBoostingRegressor:
+class _Boosting:
+    """The stage loop and the scoring loop shared by both boosters."""
+
+    def __init__(self, n_estimators, learning_rate, max_depth, min_samples_leaf):
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+
+    def _boost(self, X: np.ndarray, negative_gradient) -> None:
+        """Fit ``n_estimators`` stages from the scores ``init_``; each tree
+        fits ``negative_gradient(F)`` of the current scores F."""
+        X = np.asarray(X, dtype=np.float64)
+        binned = bin_features(X)
+        self.trees_: list[RegressionTree] = []
+        F = self._decision(X)
+        for _ in range(self.n_estimators):
+            t = RegressionTree(
+                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
+            ).fit(binned, negative_gradient(F))
+            F += self.learning_rate * t.predict(X)
+            self.trees_.append(t)
+
+    def _decision(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        F = np.full((X.shape[0],) + np.shape(self.init_), self.init_)
+        for t in self.trees_:
+            F += self.learning_rate * t.predict(X)
+        return F
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        return ensemble_importances(self.trees_)
+
+
+class GradientBoostingRegressor(_Boosting):
     """Squared-loss boosting; multi-output if ``y`` is 2-D."""
 
     def __init__(
@@ -34,42 +72,19 @@ class GradientBoostingRegressor:
         max_depth: int = 3,
         min_samples_leaf: int = 3,
     ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(n_estimators, learning_rate, max_depth, min_samples_leaf)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
-        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        self._single = y.ndim == 1
-        Y = y[:, None] if self._single else y
-        self.init_ = Y.mean(axis=0)
-        F = np.tile(self.init_, (X.shape[0], 1))
-        self.trees_: list[RegressionTree] = []
-        for _ in range(self.n_estimators):
-            t = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(X, Y - F)
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-            self.trees_.append(t)
+        self.init_ = y.mean(axis=0)
+        self._boost(X, lambda F: y - F)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        F = np.tile(self.init_, (X.shape[0], 1))
-        for t in self.trees_:
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-        return F[:, 0] if self._single else F
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        return ensemble_importances(self.trees_)
+        return self._decision(X)
 
 
-class GradientBoostingClassifier:
+class GradientBoostingClassifier(_Boosting):
     """Softmax gradient boosting; handles binary and multiclass labels."""
 
     def __init__(
@@ -79,45 +94,20 @@ class GradientBoostingClassifier:
         max_depth: int = 3,
         min_samples_leaf: int = 3,
     ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(n_estimators, learning_rate, max_depth, min_samples_leaf)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
-        X = np.asarray(X, dtype=np.float64)
         self.classes_, yi = np.unique(y, return_inverse=True)
-        K = len(self.classes_)
-        onehot = np.eye(K)[yi]
-        F = np.zeros((X.shape[0], K))
-        self.trees_: list[RegressionTree] = []
-        for _ in range(self.n_estimators):
-            grad = onehot - _softmax(F)
-            t = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(X, grad)
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-            self.trees_.append(t)
+        onehot = np.eye(len(self.classes_))[yi]
+        self.init_ = np.zeros(len(self.classes_))
+        self._boost(X, lambda F: onehot - _softmax(F))
         return self
-
-    def _decision(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        F = np.zeros((X.shape[0], len(self.classes_)))
-        for t in self.trees_:
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-        return F
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self._decision(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self._decision(X), axis=1)]
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        return ensemble_importances(self.trees_)
 
 
 class LightGBMClassifier(GradientBoostingClassifier):

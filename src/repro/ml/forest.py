@@ -49,8 +49,7 @@ class RandomForestClassifier:
         X = np.asarray(X, dtype=np.float64)
         P = np.zeros((X.shape[0], len(self.classes_)))
         for t in self.trees_:
-            p = t.predict(X)
-            P += p[:, None] if p.ndim == 1 else p
+            P += t.predict(X)
         P /= len(self.trees_)
         # Bagged leaf means are already a distribution, but guard anyway.
         P = np.clip(P, 0, None)

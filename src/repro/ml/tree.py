@@ -6,15 +6,40 @@ reduction, so the same tree doubles as a classification tree; on raw
 targets it is a plain regression tree; on a performance-vector target it
 is the building block of the multi-output GBM estimator.
 
-Features are pre-binned into at most ``n_bins`` quantile bins, so a
-split search is one ``bincount`` per (node, feature) — fast enough for
-the dataset sizes MODis explores (10^3–10^5 rows, <=40 columns).
+Features are binned into at most ``N_BINS`` quantile bins by
+:func:`bin_features`, so a split search is one ``bincount`` per (node,
+feature) — fast enough for the dataset sizes MODis explores (10^3–10^5
+rows, <=40 columns). A tree bins its own raw input; an ensemble whose
+trees all see the same X bins it once per fit and hands every tree the
+:class:`Binned` result.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 _LEAF = -1
+N_BINS = 64
+_QUANTILES = np.linspace(0, 1, N_BINS + 1)[1:-1]
+
+
+class Binned(NamedTuple):
+    """Quantile-binned features: ``codes[i, j]`` is the number of
+    ``edges[j]`` that are <= ``X[i, j]``."""
+
+    codes: np.ndarray  # (n, d) int32
+    edges: list[np.ndarray]  # per feature: sorted distinct cut points
+
+
+def bin_features(X: np.ndarray) -> Binned:
+    """Bin every column of X into at most ``N_BINS`` quantile bins."""
+    X = np.asarray(X, dtype=np.float64)
+    edges = [np.unique(q) for q in np.quantile(X, _QUANTILES, axis=0).T]
+    codes = np.empty(X.shape, dtype=np.int32)
+    for j, e in enumerate(edges):
+        codes[:, j] = np.searchsorted(e, X[:, j], side="right")
+    return Binned(codes, edges)
 
 
 class RegressionTree:
@@ -26,7 +51,6 @@ class RegressionTree:
     min_samples_leaf: minimum rows on each side of a split.
     max_features: number of candidate features per split (``None`` = all,
         ``"sqrt"`` = ceil(sqrt(d))); sampling requires ``rng``.
-    n_bins: max quantile bins per feature.
     rng: ``np.random.Generator`` for feature subsampling (forests).
     """
 
@@ -35,53 +59,37 @@ class RegressionTree:
         max_depth: int = 4,
         min_samples_leaf: int = 5,
         max_features=None,
-        n_bins: int = 64,
         rng: np.random.Generator | None = None,
     ):
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.n_bins = n_bins
         self.rng = rng
 
-    # -- binning ---------------------------------------------------------
-    def _make_bins(self, X: np.ndarray) -> list[np.ndarray]:
-        edges = []
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            qs = np.quantile(col, np.linspace(0, 1, self.n_bins + 1)[1:-1])
-            edges.append(np.unique(qs))
-        return edges
-
-    def _bin(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape, dtype=np.int32)
-        for j, e in enumerate(self._edges):
-            out[:, j] = np.searchsorted(e, X[:, j], side="right")
-        return out
-
     # -- fitting ---------------------------------------------------------
-    def fit(self, X: np.ndarray, Y: np.ndarray) -> "RegressionTree":
-        X = np.asarray(X, dtype=np.float64)
+    def fit(self, X: np.ndarray | Binned, Y: np.ndarray) -> "RegressionTree":
+        """Fit on raw X, or on ``bin_features(X)``; either gives the same
+        tree. Predictions are 1-D exactly when Y is."""
+        B, self._edges = X if isinstance(X, Binned) else bin_features(X)
         Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim == 1:
+        self._single = Y.ndim == 1
+        if self._single:
             Y = Y[:, None]
         self.n_outputs_ = Y.shape[1]
-        self._edges = self._make_bins(X)
-        B = self._bin(X)
         # Growable flat arrays describing the tree.
         self._feature: list[int] = []
-        self._threshold: list[float] = []  # raw-value threshold (<= goes left)
-        self._bin_thr: list[int] = []
+        self._threshold: list[float] = []  # raw-value threshold (< goes left)
         self._left: list[int] = []
         self._right: list[int] = []
         self._value: list[np.ndarray] = []
-        self._grow(B, Y, np.arange(X.shape[0]), depth=0)
+        # Empty sides of a candidate split divide by zero; they are masked.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._grow(B, Y, np.arange(B.shape[0]), depth=0)
         return self
 
     def _new_node(self, value: np.ndarray) -> int:
         self._feature.append(_LEAF)
         self._threshold.append(np.nan)
-        self._bin_thr.append(-1)
         self._left.append(-1)
         self._right.append(-1)
         self._value.append(value)
@@ -122,10 +130,9 @@ class RegressionTree:
             ok = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
             if not ok.any():
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = (c_sum**2).sum(axis=1) / nl + (
-                    (total_sum - c_sum) ** 2
-                ).sum(axis=1) / nr
+            gain = (c_sum**2).sum(axis=1) / nl + (
+                (total_sum - c_sum) ** 2
+            ).sum(axis=1) / nr
             gain = np.where(ok, gain, -np.inf)
             b = int(np.argmax(gain))
             g = gain[b] - (total_sum**2).sum() / n
@@ -137,7 +144,6 @@ class RegressionTree:
         go_left = B[idx, j] <= b
         li, ri = idx[go_left], idx[~go_left]
         self._feature[node] = j
-        self._bin_thr[node] = b
         e = self._edges[j]
         self._threshold[node] = e[b] if b < len(e) else np.inf
         self._left[node] = self._grow(B, Y, li, depth + 1)
@@ -149,7 +155,7 @@ class RegressionTree:
         X = np.asarray(X, dtype=np.float64)
         out = np.empty((X.shape[0], self.n_outputs_))
         self._apply(X, np.arange(X.shape[0]), 0, out)
-        return out[:, 0] if self.n_outputs_ == 1 else out
+        return out[:, 0] if self._single else out
 
     def _apply(self, X, idx, node, out) -> None:
         while True:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ml import metrics as mx
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, bin_features
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -33,6 +33,7 @@ def test_constant_target_single_leaf():
 
 
 def test_multioutput_predicts_both_columns():
+    """Predictions have the target's shape: 1-D only for a 1-D target."""
     rng = np.random.default_rng(1)
     X = rng.normal(size=(300, 3))
     Y = np.column_stack([X[:, 0], -2 * X[:, 1]])
@@ -41,6 +42,11 @@ def test_multioutput_predicts_both_columns():
     assert P.shape == (300, 2)
     assert mx.r2(Y[:, 0], P[:, 0]) > 0.7
     assert mx.r2(Y[:, 1], P[:, 1]) > 0.7
+    col = RegressionTree(max_depth=6, min_samples_leaf=2).fit(X, Y[:, :1])
+    flat = RegressionTree(max_depth=6, min_samples_leaf=2).fit(X, Y[:, 0])
+    assert col.predict(X).shape == (300, 1)
+    assert flat.predict(X).shape == (300,)
+    assert np.array_equal(col.predict(X)[:, 0], flat.predict(X))
 
 
 def test_onehot_variance_split_behaves_like_gini():
@@ -72,12 +78,24 @@ def test_min_samples_leaf_respected():
 
 
 def test_deterministic():
+    """A refit on X, and a fit on ``bin_features(X)``, give the same tree."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(150, 3))
     y = rng.normal(size=150)
-    p1 = RegressionTree(max_depth=4).fit(X, y).predict(X)
-    p2 = RegressionTree(max_depth=4).fit(X, y).predict(X)
-    assert np.array_equal(p1, p2)
+    cases = [(y, None), (rng.normal(size=(150, 2)), None), (y, "sqrt")]
+    for Y, max_features in cases:
+        t1, t2, tb = (
+            RegressionTree(
+                max_depth=4, max_features=max_features, rng=np.random.default_rng(0)
+            ).fit(A, Y)
+            for A in (X, X, bin_features(X))
+        )
+        for t in (t2, tb):
+            for a in ("_feature", "_threshold", "_left", "_right", "_value"):
+                assert np.array_equal(
+                    np.array(getattr(t, a)), np.array(getattr(t1, a)), equal_nan=True
+                )
+            assert np.array_equal(t.predict(X), t1.predict(X))
 
 
 def test_feature_importances_sum_and_focus():
