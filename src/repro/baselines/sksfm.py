@@ -27,9 +27,7 @@ def sksfm(universal_pdf: pd.DataFrame, task: TabularTask) -> pd.DataFrame:
     else:
         model = GradientBoostingRegressor(n_estimators=25, max_depth=3)
     model.fit(X, y)
-    imp = np.zeros(len(feats))
-    fi = model.feature_importances_
-    imp[: len(fi)] = fi
+    imp = model.feature_importances_
     keep = [f for f, w in zip(feats, imp) if w > imp.mean()]
     if not keep:  # degenerate importances: keep the single best feature
         keep = [feats[int(np.argmax(imp))]]

@@ -5,8 +5,9 @@ H2O linear model, and estimates performance with sklearn's multi-output
 GradientBoosting — none of which are installed here. This package
 implements the needed model zoo from scratch on numpy:
 
-- :mod:`repro.ml.tree` — a binned, vectorized multi-output regression
-  tree (variance reduction == Gini on one-hot targets) and its one
+- :mod:`repro.ml.tree` — a binned multi-output regression tree
+  (variance reduction == Gini on one-hot targets) whose split search is
+  one histogram pass per node over all candidate features, and its one
   binning function ``bin_features``, the single primitive under every
   ensemble below;
 - :mod:`repro.ml.boosting` — gradient boosting for regression

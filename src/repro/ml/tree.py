@@ -7,11 +7,14 @@ targets it is a plain regression tree; on a performance-vector target it
 is the building block of the multi-output GBM estimator.
 
 Features are binned into at most ``N_BINS`` quantile bins by
-:func:`bin_features`, so a split search is one ``bincount`` per (node,
-feature) — fast enough for the dataset sizes MODis explores (10^3–10^5
-rows, <=40 columns). A tree bins its own raw input; an ensemble whose
-trees all see the same X bins it once per fit and hands every tree the
-:class:`Binned` result.
+:func:`bin_features`, so a node's split search is one histogram pass
+over all its candidate features (LightGBM's histogram method, Ke et al.
+2017): each feature's codes are offset into their own block of bins, and
+one ``bincount`` for the counts plus one per output column fill every
+histogram at once — fast enough for the dataset sizes MODis explores
+(10^3–10^5 rows, <=40 columns). A tree bins its own raw input; an
+ensemble whose trees all see the same X bins it once per fit and hands
+every tree the :class:`Binned` result.
 """
 from __future__ import annotations
 
@@ -50,8 +53,9 @@ class RegressionTree:
     max_depth: maximum tree depth (root = depth 0).
     min_samples_leaf: minimum rows on each side of a split.
     max_features: number of candidate features per split (``None`` = all,
-        ``"sqrt"`` = ceil(sqrt(d))); sampling requires ``rng``.
-    rng: ``np.random.Generator`` for feature subsampling (forests).
+        ``"sqrt"`` = ceil(sqrt(d))), drawn afresh at every node.
+    rng: ``np.random.Generator`` for feature subsampling (forests); without
+        one, each fit draws from its own ``default_rng(0)``.
     """
 
     def __init__(
@@ -76,6 +80,12 @@ class RegressionTree:
         if self._single:
             Y = Y[:, None]
         self.n_outputs_ = Y.shape[1]
+        self.n_features_in_ = B.shape[1]
+        # Feature subsets need a generator; without the caller's, one seeded
+        # generator per fit, so successive nodes draw different subsets.
+        self._rng = self.rng
+        if self._rng is None and self.max_features is not None:
+            self._rng = np.random.default_rng(0)
         # Growable flat arrays describing the tree.
         self._feature: list[int] = []
         self._threshold: list[float] = []  # raw-value threshold (< goes left)
@@ -97,8 +107,9 @@ class RegressionTree:
 
     def _grow(self, B: np.ndarray, Y: np.ndarray, idx: np.ndarray, depth: int) -> int:
         y = Y[idx]
-        node = self._new_node(y.mean(axis=0))
         n = idx.size
+        total_sum = y.sum(axis=0)
+        node = self._new_node(total_sum / n)  # == y.mean(axis=0), bit for bit
         if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
             return node
         d = B.shape[1]
@@ -110,37 +121,11 @@ class RegressionTree:
                 if self.max_features == "sqrt"
                 else min(d, int(self.max_features))
             )
-            rng = self.rng or np.random.default_rng(0)
-            feats = rng.choice(d, size=k, replace=False)
-        total_sum = y.sum(axis=0)
-        best = (0.0, -1, -1)  # (gain, feature, bin)
-        Bi = B[idx]
-        for j in feats:
-            bj = Bi[:, j]
-            nb = bj.max() + 1
-            if nb < 2:
-                continue
-            cnt = np.bincount(bj, minlength=nb).astype(np.float64)
-            sums = np.empty((nb, y.shape[1]))
-            for k_out in range(y.shape[1]):
-                sums[:, k_out] = np.bincount(bj, weights=y[:, k_out], minlength=nb)
-            c_cnt = np.cumsum(cnt)[:-1]
-            c_sum = np.cumsum(sums, axis=0)[:-1]
-            nl, nr = c_cnt, n - c_cnt
-            ok = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-            if not ok.any():
-                continue
-            gain = (c_sum**2).sum(axis=1) / nl + (
-                (total_sum - c_sum) ** 2
-            ).sum(axis=1) / nr
-            gain = np.where(ok, gain, -np.inf)
-            b = int(np.argmax(gain))
-            g = gain[b] - (total_sum**2).sum() / n
-            if g > best[0] + 1e-12:
-                best = (g, int(j), b)
-        if best[1] < 0:
+            feats = self._rng.choice(d, size=k, replace=False)
+        split = self._best_split(B[idx[:, None], feats], y, total_sum)
+        if split is None:
             return node
-        _, j, b = best
+        j, b = int(feats[split[0]]), split[1]
         go_left = B[idx, j] <= b
         li, ri = idx[go_left], idx[~go_left]
         self._feature[node] = j
@@ -149,6 +134,48 @@ class RegressionTree:
         self._left[node] = self._grow(B, Y, li, depth + 1)
         self._right[node] = self._grow(B, Y, ri, depth + 1)
         return node
+
+    def _best_split(
+        self, codes: np.ndarray, y: np.ndarray, total_sum: np.ndarray
+    ) -> tuple[int, int] | None:
+        """(slot, bin) of the best split of a node, whose rows have the bin
+        codes ``codes[:, s]`` on candidate feature slot s, or None.
+
+        One histogram over (slot, bin, output): slot s's codes are offset
+        by s * nb. The best bin of a slot is its first maximal one; the best
+        slot is the first whose gain beats the best so far by > 1e-12.
+        Splitting after bin b sends codes <= b left. Bins at or past a
+        slot's last occupied bin leave no row on the right, so the
+        nr >= min_samples_leaf (>= 1) mask drops them, as it drops empty
+        lefts.
+        """
+        (n, k), m = codes.shape, y.shape[1]
+        nb = int(codes.max()) + 1
+        codes = (codes + np.arange(k) * nb).ravel()
+        cnt = np.bincount(codes, minlength=k * nb).reshape(k, nb)
+        sums = np.empty((k, nb, m))
+        for o in range(m):
+            sums[:, :, o] = np.bincount(
+                codes, weights=np.repeat(y[:, o], k), minlength=k * nb
+            ).reshape(k, nb)
+        nl = np.cumsum(cnt, axis=1)
+        nr = n - nl
+        left = np.cumsum(sums, axis=1, out=sums)
+        right = total_sum - left
+        # Squared in place (x**2 is x*x): these (k, nb, m) arrays are the
+        # largest temporaries of a node.
+        gain = np.square(left, out=left).sum(axis=2) / nl + np.square(
+            right, out=right
+        ).sum(axis=2) / nr
+        lo = max(1, self.min_samples_leaf)
+        gain = np.where((nl >= lo) & (nr >= lo), gain, -np.inf)
+        bins = np.argmax(gain, axis=1)
+        gains = gain[np.arange(k), bins] - (total_sum**2).sum() / n
+        best, best_gain = None, 0.0
+        for s, g in enumerate(gains.tolist()):
+            if g > best_gain + 1e-12:
+                best, best_gain = (s, int(bins[s])), g
+        return best
 
     # -- prediction ------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -177,9 +204,9 @@ class RegressionTree:
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        """Split-count importance, normalized to sum to 1."""
-        d = 1 + max((f for f in self._feature if f != _LEAF), default=0)
-        imp = np.zeros(d)
+        """Split-count importance over the ``n_features_in_`` fitted
+        features, normalized to sum to 1."""
+        imp = np.zeros(self.n_features_in_)
         for f in self._feature:
             if f != _LEAF:
                 imp[f] += 1.0
@@ -189,9 +216,6 @@ class RegressionTree:
 
 def ensemble_importances(trees: list[RegressionTree]) -> np.ndarray:
     """Sum of the trees' split-count importances, normalized to sum to 1."""
-    imps = [t.feature_importances_ for t in trees]
-    acc = np.zeros(max(len(i) for i in imps))
-    for i in imps:
-        acc[: len(i)] += i
+    acc = sum(t.feature_importances_ for t in trees)
     s = acc.sum()
     return acc / s if s > 0 else acc

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ml import metrics as mx
-from repro.ml.tree import RegressionTree, bin_features
+from repro.ml.tree import RegressionTree, bin_features, ensemble_importances
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -60,21 +60,34 @@ def test_onehot_variance_split_behaves_like_gini():
     assert (pred == y).mean() > 0.97
 
 
+def _leaf_of(t: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """The leaf node each row of X is routed to."""
+    leaf = np.empty(X.shape[0], dtype=int)
+    for i, x in enumerate(X):
+        node = 0
+        while t._feature[node] != -1:
+            go_left = x[t._feature[node]] < t._threshold[node]
+            node = t._left[node] if go_left else t._right[node]
+        leaf[i] = node
+    return leaf
+
+
 def test_min_samples_leaf_respected():
+    """Every leaf holds at least ``min_samples_leaf`` training rows, for a
+    1-D and a 2-output target, including ``min_samples_leaf=1`` on tied
+    features (a split past a feature's last occupied bin would leave an
+    empty leaf)."""
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(60, 2))
+    X = rng.normal(size=(60, 3))
+    X[:, 1] = np.round(X[:, 1])  # few distinct values: most bins empty
     y = rng.normal(size=60)
-    t = RegressionTree(max_depth=8, min_samples_leaf=10).fit(X, y)
-    # count rows routed to each leaf
-    out = np.empty((60, 1))
-    t._apply(X, np.arange(60), 0, out)
-    leaves = {}
-    # route manually and count via unique leaf values as proxy: instead,
-    # assert all leaf value arrays came from >= min_samples_leaf rows by
-    # reconstruction: each split had both sides >= 10, so every leaf
-    # holds >= 10 training rows; check leaf count consistent with that.
-    n_leaves = sum(1 for f in t._feature if f == -1)
-    assert n_leaves <= 60 // 10 + 1
+    Y2 = np.column_stack([y, rng.normal(size=60)])
+    for msl, target in ((10, y), (1, y), (3, Y2), (1, Y2)):
+        t = RegressionTree(max_depth=8, min_samples_leaf=msl).fit(X, target)
+        leaves = [i for i, f in enumerate(t._feature) if f == -1]
+        assert len(leaves) > 1
+        rows = np.bincount(_leaf_of(t, X), minlength=len(t._feature))
+        assert (rows[leaves] >= msl).all(), (msl, rows[leaves])
 
 
 def test_deterministic():
@@ -106,6 +119,31 @@ def test_feature_importances_sum_and_focus():
     imp = t.feature_importances_
     assert abs(imp.sum() - 1.0) < 1e-9
     assert imp.argmax() == 2
+
+
+def test_feature_importances_cover_every_fitted_feature():
+    """A tree on 6 columns that splits only on column 2 still returns one
+    importance per column, and so does an ensemble of such trees."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(400, 6))
+    y = 5 * X[:, 2]
+    t = RegressionTree(max_depth=3).fit(X, y)
+    assert {f for f in t._feature if f != -1} == {2}
+    assert t.n_features_in_ == 6
+    assert np.array_equal(t.feature_importances_, np.eye(6)[2])
+    assert np.array_equal(ensemble_importances([t, t]), np.eye(6)[2])
+
+
+def test_max_features_without_rng_varies_across_nodes():
+    """With ``rng=None``, successive nodes draw different feature subsets
+    (one fallback generator per fit, not a fresh one per node)."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(200, 6))
+    y = X.sum(axis=1)
+    t = RegressionTree(max_depth=4, min_samples_leaf=2, max_features=1).fit(X, y)
+    assert len({f for f in t._feature if f != -1}) > 1
+    again = RegressionTree(max_depth=4, min_samples_leaf=2, max_features=1).fit(X, y)
+    assert again._feature == t._feature
 
 
 def test_prediction_on_unseen_values_uses_thresholds():
